@@ -65,14 +65,15 @@ par-smoke:
 	$(GO) run -race ./scripts/par-smoke
 
 # End-to-end check of the clock layer: fast-path latency/allocs micro
-# cells plus quick montecarlo/pmd offline arms under both clock
-# representations (dense and tree), failing on any report divergence or
-# fast-path allocation; the perf numbers are logged, not gated. A racy
-# generated trace cross-checks byte-identity for every variant.
+# cells plus quick montecarlo/pmd offline arms, sequential and parallel,
+# failing on any report divergence or fast-path allocation; the perf
+# numbers are logged, not gated. A racy generated trace and the
+# conformance corpus cross-check sequential ≡ sharded byte-identity for
+# every variant.
 perf-smoke:
 	$(GO) run ./scripts/perf-smoke
-	$(GO) test -run TestClockImplReportIdentity -count=1 .
-	$(GO) test -bench 'BenchmarkFastPathLatency/.*/vft-v2/' -benchtime 10000x -run xxx .
+	$(GO) test -run TestConformanceParallelIdentity -count=1 .
+	$(GO) test -bench 'BenchmarkFastPathLatency/.*/vft-v2$$' -benchtime 10000x -run xxx .
 
 # End-to-end check of the multi-tenant ingestion service under the Go
 # race detector: concurrent tenants streaming all three wire encodings

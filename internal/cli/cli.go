@@ -39,7 +39,6 @@ import (
 	"repro/internal/staticrace"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/vc"
 	"repro/internal/workloads"
 )
 
@@ -287,13 +286,11 @@ func Bench(args []string, stdout, stderr io.Writer) int {
 	parallel := fs.String("parallel", "",
 		"comma-separated worker counts (e.g. 1,2,4,8): run the parallel-checking benchmark (EXPERIMENTS.md E17) instead of Table 1; 1 is the sequential baseline; uses the -detectors variant when exactly one is named, else vft-v2")
 	fastpath := fs.Bool("fastpath", false,
-		"run the clock-layer benchmark (EXPERIMENTS.md E20) instead of Table 1: same-epoch fast-path latency and allocs per clock representation, plus offline checking of the paper-scale workloads under each representation with a report cross-check")
+		"run the clock-layer benchmark (EXPERIMENTS.md E20) instead of Table 1: same-epoch fast-path latency and allocs per detector, plus offline checking of the paper-scale workloads sequentially and through the parallel checker with a report cross-check")
 	sampling := fs.Bool("sampling", false,
 		"run the sampling-tier benchmark (EXPERIMENTS.md E22) instead of Table 1: per-access cost, trace-checking overhead and conformance recall per sampling rate, with the soundness gates checked")
 	samplingRates := fs.String("rates", "",
 		"comma-separated sampling rates for -sampling (default 1,0.1,0.01,0.001)")
-	clock := fs.String("clock", "",
-		"vector-clock representation for the Table 1 run: dense (default) or tree")
 	traceFile := fs.String("trace", "",
 		"benchmark the detectors over this recorded trace (text, binary or gzip) instead of the workload suite")
 	format := fs.String("format", "text", "output format: text or csv")
@@ -336,17 +333,11 @@ func Bench(args []string, stdout, stderr io.Writer) int {
 		return benchParallel(*parallel, splitList(*detectors), *programs, *iters, *warmup, *quick, path, stdout, stderr)
 	}
 
-	clockImpl, err := vc.ParseImpl(*clock)
-	if err != nil {
-		fmt.Fprintln(stderr, "vft-bench:", err)
-		return 2
-	}
 	opts := harness.Options{
 		Warmup:    *warmup,
 		Iters:     *iters,
 		Detectors: splitList(*detectors),
 		Quick:     *quick,
-		ClockImpl: clockImpl,
 	}
 	if *programs != "" {
 		opts.Programs = splitList(*programs)
@@ -463,13 +454,13 @@ func benchTrace(path string, detectors []string, iters, warmup int, stdout, stde
 
 // benchFastPath is vft-bench -fastpath: the clock-layer benchmark of
 // EXPERIMENTS.md E20, written to BENCH_fastpath.json unless -json renames
-// or disables it. A divergence between the representations' report lists
-// is a correctness failure and exits nonzero.
+// or disables it. A divergence between the sequential and parallel report
+// lists is a correctness failure and exits nonzero.
 func benchFastPath(detectors []string, programs string, iters, warmup int, quick bool, jsonPath string, stdout, stderr io.Writer) int {
 	opts := harness.DefaultFastPathOptions()
 	opts.Warmup, opts.Iters, opts.Quick = warmup, iters, quick
-	// The Table-1 overhead geomean per representation rides along in the
-	// JSON so the E20 gate has an end-to-end number, not just micro cells.
+	// The Table-1 overhead geomean rides along in the JSON so the E20
+	// gate has an end-to-end number, not just micro cells.
 	opts.Table1 = true
 	if len(detectors) > 0 {
 		opts.Detectors = detectors
@@ -503,7 +494,7 @@ func benchFastPath(detectors []string, programs string, iters, warmup int, quick
 		return 2
 	}
 	if table.Divergent() {
-		fmt.Fprintln(stderr, "vft-bench: report lists diverged between clock representations")
+		fmt.Fprintln(stderr, "vft-bench: report lists diverged between sequential and parallel checking")
 		return 1
 	}
 	return 0
@@ -1007,8 +998,6 @@ func RunProg(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		"keep the metrics endpoint up this long after the last run")
 	chancaps := fs.String("chancaps", "",
 		"per-channel buffer capacities for trace inputs, comma-separated id:cap pairs (absent channels are unbuffered)")
-	clock := fs.String("clock", "",
-		"vector-clock representation: dense (default) or tree (identical reports, different cost)")
 	sampleRate := fs.Float64("sample", 1,
 		"check through the sampling tier at this per-variable rate (1 = precise unless set explicitly; overrides a -d sampled:<rate> spelling)")
 	sampleSeed := fs.Uint64("sample-seed", 0,
@@ -1018,11 +1007,6 @@ func RunProg(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	if fs.NArg() != 1 {
 		fmt.Fprintln(stderr, "vft-run: usage: vft-run [-d variant] [-runs N] [-trace] program.vft | trace | -")
-		return 2
-	}
-	clockImpl, err := vc.ParseImpl(*clock)
-	if err != nil {
-		fmt.Fprintln(stderr, "vft-run:", err)
 		return 2
 	}
 	base, pol, err := sample.ParseVariant(*variant)
@@ -1053,7 +1037,6 @@ func RunProg(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 	}
 	detCfg := core.DefaultConfig()
-	detCfg.ClockImpl = clockImpl
 	caps, err := parseChanCaps(*chancaps)
 	if err != nil {
 		fmt.Fprintln(stderr, "vft-run:", err)
@@ -1109,7 +1092,7 @@ func RunProg(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stderr, "vft-run: -parallel needs a detector variant, not 'none'")
 				return 2
 			}
-			return runTraceParallel(br, path, *variant, *parallelN, clockImpl, ext, reg, pol, stdout, stderr)
+			return runTraceParallel(br, path, *variant, *parallelN, ext, reg, pol, stdout, stderr)
 		}
 		if (path == "-" || path == "") && *runs > 1 {
 			fmt.Fprintln(stderr, "vft-run: -runs > 1 needs a re-readable file, not stdin")
@@ -1225,7 +1208,7 @@ func runTrace(path string, in io.Reader, variant string, runs int, cfg core.Conf
 // (schedule-independent, unlike re-execution), printed deduplicated per
 // variable like the other modes. With -metrics-addr, the checker's
 // "parcheck" source lands in the registry.
-func runTraceParallel(in io.Reader, path, variant string, workers int, clockImpl vc.Impl, ext *trace.Extensions, reg *obs.Registry, pol *sample.Policy, stdout, stderr io.Writer) int {
+func runTraceParallel(in io.Reader, path, variant string, workers int, ext *trace.Extensions, reg *obs.Registry, pol *sample.Policy, stdout, stderr io.Writer) int {
 	src, err := trace.NewDecoder(in)
 	if err != nil {
 		fmt.Fprintln(stderr, "vft-run:", err)
@@ -1240,14 +1223,13 @@ func runTraceParallel(in io.Reader, path, variant string, workers int, clockImpl
 	var reports []core.Report
 	pprof.Do(context.Background(), pprof.Labels("program", path, "detector", variant), func(context.Context) {
 		reports, err = parcheck.CheckTrace(tr, ext, parcheck.Options{
-			Variant:   variant,
-			Workers:   workers,
-			Threads:   clampTableHint(ids.Threads, 1<<16),
-			Vars:      clampTableHint(ids.Vars, 1<<20),
-			Locks:     clampTableHint(ids.Locks, 1<<20),
-			Metrics:   reg,
-			ClockImpl: clockImpl,
-			Sampling:  pol,
+			Variant:  variant,
+			Workers:  workers,
+			Threads:  clampTableHint(ids.Threads, 1<<16),
+			Vars:     clampTableHint(ids.Vars, 1<<20),
+			Locks:    clampTableHint(ids.Locks, 1<<20),
+			Metrics:  reg,
+			Sampling: pol,
 		})
 	})
 	if err != nil {

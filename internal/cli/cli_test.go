@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -110,6 +111,26 @@ func TestBenchUnknownProgram(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	if code := Bench([]string{"-programs", "doom"}, &out, &errBuf); code != 2 {
 		t.Fatalf("exit = %d, want 2", code)
+	}
+}
+
+// TestClockFlagRemoved pins the removal of the -clock flag: old scripts
+// passing it fail loudly as a usage error instead of being silently
+// ignored.
+func TestClockFlagRemoved(t *testing.T) {
+	for name, run := range map[string]func(args []string, stdout, stderr io.Writer) int{
+		"vft-run": func(args []string, stdout, stderr io.Writer) int {
+			return RunProg(args, strings.NewReader(""), stdout, stderr)
+		},
+		"vft-bench": Bench,
+	} {
+		var out, errBuf bytes.Buffer
+		if code := run([]string{"-clock", "tree", "-"}, &out, &errBuf); code != 2 {
+			t.Errorf("%s -clock tree: exit = %d, want 2", name, code)
+		}
+		if !strings.Contains(errBuf.String(), "flag provided but not defined: -clock") {
+			t.Errorf("%s -clock tree: stderr does not name the unknown flag:\n%s", name, errBuf.String())
+		}
 	}
 }
 

@@ -140,7 +140,7 @@ type ThreadState struct {
 	T epoch.Tid
 
 	e  epoch.Epoch
-	vc vc.Clock
+	vc *vc.VC
 
 	// rules counts analysis-rule firings. Each entry is written only by
 	// the owning thread, so counting is free of contention and races.
@@ -157,18 +157,14 @@ type ThreadState struct {
 	retries    uint64
 }
 
-func newThreadState(t epoch.Tid, impl vc.Impl, pool *vc.Pool) *ThreadState {
-	c := vc.NewClock(impl, pool)
+func newThreadState(t epoch.Tid, pool *vc.Pool) *ThreadState {
+	c := vc.NewPooled(pool)
 	c.Inc(t)
 	return &ThreadState{T: t, e: c.Get(t), vc: c}
 }
 
 // Epoch returns the thread's current epoch E_t.
 func (st *ThreadState) Epoch() epoch.Epoch { return st.e }
-
-// VC returns the thread's vector clock (owned by the thread; callers other
-// than the owning thread must be ordered by a fork/join edge).
-func (st *ThreadState) VC() vc.Clock { return st.vc }
 
 // refresh re-caches E_t after a vector-clock update.
 func (st *ThreadState) refresh() { st.e = st.vc.Get(st.T) }
@@ -192,7 +188,7 @@ func (st *ThreadState) countRetry()     { st.retries++ }
 // snapshots are retained per access, so copy-on-write sharing wins; see
 // internal/parcheck.
 type LockState struct {
-	vc vc.Clock
+	vc *vc.VC
 }
 
 // syncBase carries the state and handler code shared by all the
@@ -206,25 +202,18 @@ type syncBase struct {
 	joinInc bool // FastTrackOrig's extra Su.V(u) increment
 
 	// pool recycles clock backing arrays across this detector's thread
-	// and lock clocks (nil when Config.DisablePool); impl selects the
-	// clock representation for both.
+	// and lock clocks.
 	pool *vc.Pool
-	impl vc.Impl
 }
 
 func newSyncBase(name string, cfg Config, joinInc bool) syncBase {
-	var pool *vc.Pool
-	if !cfg.DisablePool {
-		pool = vc.NewPool()
-	}
-	impl := cfg.ClockImpl
+	pool := vc.NewPool()
 	return syncBase{
 		sink:    reportSink{name: name, maxPerVar: cfg.MaxReportsPerVar},
 		joinInc: joinInc,
 		pool:    pool,
-		impl:    impl,
-		threads: shadow.NewTable(cfg.Threads, func(i int) *ThreadState { return newThreadState(epoch.Tid(i), impl, pool) }),
-		locks:   shadow.NewTable(cfg.Locks, func(int) *LockState { return &LockState{vc: vc.NewClock(impl, pool)} }),
+		threads: shadow.NewTable(cfg.Threads, func(i int) *ThreadState { return newThreadState(epoch.Tid(i), pool) }),
+		locks:   shadow.NewTable(cfg.Locks, func(int) *LockState { return &LockState{vc: vc.NewPooled(pool)} }),
 	}
 }
 
@@ -312,15 +301,6 @@ type Config struct {
 	// behaviour. Suppressed reports are counted, not lost silently — see
 	// DroppedReports.
 	MaxReportsPerVar int
-	// ClockImpl selects the vector-clock representation for thread and
-	// lock clocks (the zero value is the dense Fig. 3 slice;
-	// vc.ImplTree is the lazy tree-clock). Per-variable read vectors
-	// stay dense regardless: they are epoch maps, not synchronization
-	// clocks, and never join.
-	ClockImpl vc.Impl
-	// DisablePool turns off the clock storage pool (vc.Pool), reverting
-	// to plain allocation; for benchmarking the pool's effect.
-	DisablePool bool
 }
 
 // DefaultConfig suits the test workloads.

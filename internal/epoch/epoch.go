@@ -117,7 +117,7 @@ func Min(t Tid) Epoch {
 
 // FillMin overwrites v[from:] with minimal epochs, where v[i] belongs to
 // thread base+i. It is the bulk form of the grow-on-demand minimal fill
-// every vector-clock representation performs (Fig. 3's get view of entries
+// every vector-clock growth performs (Fig. 3's get view of entries
 // beyond the representation): recycled backing arrays carry stale epochs,
 // so growth paths must fill, not just extend.
 func FillMin(v []Epoch, base Tid, from int) {

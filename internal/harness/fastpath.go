@@ -9,23 +9,18 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/parcheck"
 	"repro/internal/rtsim"
 	"repro/internal/trace"
-	"repro/internal/vc"
 	"repro/internal/workloads"
 )
 
 // FastPathOptions configures the clock-layer benchmark (EXPERIMENTS.md
-// E20): same-epoch fast-path latency and allocations per detector and
-// clock representation, plus end-to-end offline checking of the
-// paper-scale workloads under each representation with a cross-check that
-// the report lists agree.
+// E20): same-epoch fast-path latency and allocations per detector, plus
+// end-to-end offline checking of the paper-scale workloads sequentially
+// and through the parallel checker, with a cross-check that the report
+// lists agree.
 type FastPathOptions struct {
-	// Impls lists the clock representations to measure (default all:
-	// dense, tree).
-	Impls []string
 	// Detectors lists the variants for the micro latency arm.
 	Detectors []string
 	// Programs lists the workloads for the offline arm (default
@@ -38,15 +33,14 @@ type FastPathOptions struct {
 	Workers int
 	// Quick selects the small test sizes instead of the bench sizes.
 	Quick bool
-	// Table1 additionally runs a quick Table-1 pass per representation and
-	// records the overhead geomeans (slow; off by default).
+	// Table1 additionally runs a quick Table-1 pass and records the
+	// overhead geomeans (slow; off by default).
 	Table1 bool
 }
 
 // DefaultFastPathOptions mirrors the E20 setup.
 func DefaultFastPathOptions() FastPathOptions {
 	return FastPathOptions{
-		Impls:     vc.Impls(),
 		Detectors: []string{"vft-v1", "vft-v1.5", "vft-v2", "ft-mutex", "ft-cas", "djit"},
 		Programs:  []string{"montecarlo", "pmd"},
 		Warmup:    1,
@@ -55,7 +49,7 @@ func DefaultFastPathOptions() FastPathOptions {
 	}
 }
 
-// FastPathMicro is one (impl, detector) micro cell: the per-op cost of the
+// FastPathMicro is one detector's micro cell: the per-op cost of the
 // same-epoch read and write rules — the cases §5 makes lock-free — and
 // their allocation counts, which must be zero for the fast paths to
 // deserve the name.
@@ -66,44 +60,42 @@ type FastPathMicro struct {
 	WriteAllocs  float64
 }
 
+// The offline arms: the sequential dispatch loop and the parallel checker.
+const (
+	armSequential = "sequential"
+	armParcheck   = "parcheck"
+)
+
 // FastPathRow is one workload's offline-checking measurements.
 type FastPathRow struct {
 	Program string
 	Suite   string
 	Ops     int
-	// Seconds maps arm name to mean end-to-end checking time. Arms are
-	// the configured impls plus "dense-nopool", the seed behavior
-	// (dense clocks, no array recycling), so the pooled-vs-seed
-	// comparison is in the same table.
+	// Seconds maps arm name (sequential, parcheck) to mean end-to-end
+	// checking time.
 	Seconds map[string]float64
 	// Reports is the race-report count (identical across arms by the
 	// Divergent check).
 	Reports int
-	// PoolRecycled maps impl to the number of backing arrays the clock
-	// pool served from recycling during one checking pass.
-	PoolRecycled map[string]uint64
-	// Divergent is true when any arm's report list differed from the
-	// dense sequential baseline — a correctness failure, never expected.
+	// Divergent is true when the parcheck arm's report list differed from
+	// the sequential one — a correctness failure, never expected.
 	Divergent bool
 }
 
 // FastPathTable is the full E20 result.
 type FastPathTable struct {
 	Options FastPathOptions
-	// Micro maps impl → detector → micro cell.
-	Micro map[string]map[string]FastPathMicro
+	// Micro maps detector → micro cell.
+	Micro map[string]FastPathMicro
 	Rows  []FastPathRow
-	// GeoMean maps impl → detector → quick Table-1 overhead geomean
-	// (present only with Options.Table1).
-	GeoMean map[string]map[string]float64
+	// GeoMean maps detector → quick Table-1 overhead geomean (present
+	// only with Options.Table1).
+	GeoMean map[string]float64
 }
 
 // RunFastPath measures the clock layer.
 func RunFastPath(opts FastPathOptions) (*FastPathTable, error) {
 	def := DefaultFastPathOptions()
-	if len(opts.Impls) == 0 {
-		opts.Impls = def.Impls
-	}
 	if len(opts.Detectors) == 0 {
 		opts.Detectors = def.Detectors
 	}
@@ -116,30 +108,18 @@ func RunFastPath(opts FastPathOptions) (*FastPathTable, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = def.Workers
 	}
-	impls := make([]vc.Impl, len(opts.Impls))
-	for i, name := range opts.Impls {
-		impl, err := vc.ParseImpl(name)
+
+	table := &FastPathTable{Options: opts, Micro: map[string]FastPathMicro{}}
+	for _, det := range opts.Detectors {
+		cell, err := microCell(det)
 		if err != nil {
 			return nil, err
 		}
-		impls[i] = impl
-	}
-
-	table := &FastPathTable{Options: opts, Micro: map[string]map[string]FastPathMicro{}}
-	for i, impl := range impls {
-		cells := map[string]FastPathMicro{}
-		for _, det := range opts.Detectors {
-			cell, err := microCell(det, impl)
-			if err != nil {
-				return nil, err
-			}
-			cells[det] = cell
-		}
-		table.Micro[opts.Impls[i]] = cells
+		table.Micro[det] = cell
 	}
 
 	for _, name := range opts.Programs {
-		row, err := fastPathProgram(name, opts, impls)
+		row, err := fastPathProgram(name, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -147,30 +127,24 @@ func RunFastPath(opts FastPathOptions) (*FastPathTable, error) {
 	}
 
 	if opts.Table1 {
-		table.GeoMean = map[string]map[string]float64{}
-		for i, impl := range impls {
-			t1, err := Run(Options{
-				Warmup: opts.Warmup, Iters: opts.Iters,
-				Detectors: opts.Detectors, Quick: true,
-				ClockImpl: impl,
-			})
-			if err != nil {
-				return nil, err
-			}
-			table.GeoMean[opts.Impls[i]] = t1.GeoMean
+		t1, err := Run(Options{
+			Warmup: opts.Warmup, Iters: opts.Iters,
+			Detectors: opts.Detectors, Quick: true,
+		})
+		if err != nil {
+			return nil, err
 		}
+		table.GeoMean = t1.GeoMean
 	}
 	return table, nil
 }
 
-// microCell times the same-epoch read and write rules of one detector
-// under one clock representation, with allocation counts. The benchmark
-// primes a variable so the loop body is exactly the §5 fast path — the
-// cost Table 1's low overheads depend on.
-func microCell(det string, impl vc.Impl) (FastPathMicro, error) {
-	cfg := core.DefaultConfig()
-	cfg.ClockImpl = impl
-	mk := func() (core.Detector, error) { return core.New(det, cfg) }
+// microCell times the same-epoch read and write rules of one detector,
+// with allocation counts. The benchmark primes a variable so the loop
+// body is exactly the §5 fast path — the cost Table 1's low overheads
+// depend on.
+func microCell(det string) (FastPathMicro, error) {
+	mk := func() (core.Detector, error) { return core.New(det, core.DefaultConfig()) }
 
 	d, err := mk()
 	if err != nil {
@@ -205,9 +179,9 @@ func microCell(det string, impl vc.Impl) (FastPathMicro, error) {
 }
 
 // fastPathProgram records one workload's trace and checks it end-to-end
-// under every arm, verifying all report lists against the dense sequential
-// baseline.
-func fastPathProgram(name string, opts FastPathOptions, impls []vc.Impl) (FastPathRow, error) {
+// under both offline arms, verifying the parcheck report list against the
+// sequential one.
+func fastPathProgram(name string, opts FastPathOptions) (FastPathRow, error) {
 	w, err := workloads.ByName(name)
 	if err != nil {
 		return FastPathRow{}, err
@@ -222,86 +196,58 @@ func fastPathProgram(name string, opts FastPathOptions, impls []vc.Impl) (FastPa
 	ids := trace.Scan(tr)
 
 	row := FastPathRow{
-		Program:      w.Name,
-		Suite:        w.Suite,
-		Ops:          len(tr),
-		Seconds:      map[string]float64{},
-		PoolRecycled: map[string]uint64{},
+		Program: w.Name,
+		Suite:   w.Suite,
+		Ops:     len(tr),
+		Seconds: map[string]float64{},
 	}
 
-	// The correctness baseline: dense clocks through the sequential
-	// dispatch loop — the seed's checking path.
-	baseline, err := sequentialReports(tr, ids, vc.ImplDense)
-	if err != nil {
-		return FastPathRow{}, err
+	arms := []struct {
+		name  string
+		check func() ([]core.Report, error)
+	}{
+		{armSequential, func() ([]core.Report, error) { return sequentialReports(tr, ids) }},
+		{armParcheck, func() ([]core.Report, error) {
+			return parcheck.CheckTrace(tr, nil, parcheck.Options{
+				Variant: "vft-v2",
+				Workers: opts.Workers,
+				Threads: ids.Threads, Vars: ids.Vars, Locks: ids.Locks,
+			})
+		}},
 	}
-	row.Reports = len(baseline)
-
-	arm := func(label string, po parcheck.Options) error {
-		po.Variant = "vft-v2"
-		po.Workers = opts.Workers
-		po.Threads, po.Vars, po.Locks = ids.Threads, ids.Vars, ids.Locks
-		var recycled uint64
-		check := func(capture bool) ([]core.Report, error) {
-			p := po
-			if capture {
-				// Read the pool counters off the last iteration only: the
-				// stats sink is cheap but not free, so the timed warm
-				// iterations run bare.
-				p.StatsSink = func(s obs.Snapshot) { recycled = s.Counters["vc.pool.recycled"] }
-			}
-			return parcheck.CheckTrace(tr, nil, p)
-		}
-		for i := 0; i < opts.Warmup; i++ {
-			if _, err := check(false); err != nil {
-				return err
+	var baseline []core.Report
+	for i, arm := range arms {
+		for j := 0; j < opts.Warmup; j++ {
+			if _, err := arm.check(); err != nil {
+				return FastPathRow{}, fmt.Errorf("%s/%s: %w", name, arm.name, err)
 			}
 		}
 		var elapsed time.Duration
 		var got []core.Report
-		for i := 0; i < opts.Iters; i++ {
+		for j := 0; j < opts.Iters; j++ {
 			start := time.Now()
-			r, err := check(i == opts.Iters-1)
+			got, err = arm.check()
 			elapsed += time.Since(start)
 			if err != nil {
-				return err
+				return FastPathRow{}, fmt.Errorf("%s/%s: %w", name, arm.name, err)
 			}
-			got = r
 		}
-		row.Seconds[label] = (elapsed / time.Duration(opts.Iters)).Seconds()
-		row.PoolRecycled[label] = recycled
-		if !reportsEqual(got, baseline) {
+		row.Seconds[arm.name] = (elapsed / time.Duration(opts.Iters)).Seconds()
+		if i == 0 {
+			baseline = got
+			row.Reports = len(got)
+		} else if !reportsEqual(got, baseline) {
 			row.Divergent = true
 		}
-		return nil
-	}
-
-	for i, impl := range impls {
-		po := parcheck.Options{ClockImpl: impl}
-		if err := arm(opts.Impls[i], po); err != nil {
-			return FastPathRow{}, fmt.Errorf("%s/%s: %w", name, opts.Impls[i], err)
-		}
-		// Cross-check the sequential replay too: the representations must
-		// agree on both checking paths.
-		seq, err := sequentialReports(tr, ids, impl)
-		if err != nil {
-			return FastPathRow{}, err
-		}
-		if !reportsEqual(seq, baseline) {
-			row.Divergent = true
-		}
-	}
-	if err := arm("dense-nopool", parcheck.Options{DisablePool: true}); err != nil {
-		return FastPathRow{}, fmt.Errorf("%s/dense-nopool: %w", name, err)
 	}
 	return row, nil
 }
 
-// sequentialReports checks tr through the sequential dispatch loop under
-// the given clock representation (pre-sized tables, as timeCheck does).
-func sequentialReports(tr trace.Trace, ids trace.IDSpace, impl vc.Impl) ([]core.Report, error) {
+// sequentialReports checks tr with vft-v2 through the sequential dispatch
+// loop (pre-sized tables, as timeCheck does).
+func sequentialReports(tr trace.Trace, ids trace.IDSpace) ([]core.Report, error) {
 	src := trace.DesugarSource(trace.ValidateSource(tr.Source(), nil), nil)
-	cfg := core.Config{Threads: ids.Threads, Vars: ids.Vars, Locks: ids.Locks, ClockImpl: impl}
+	cfg := core.Config{Threads: ids.Threads, Vars: ids.Vars, Locks: ids.Locks}
 	d, err := core.New("vft-v2", cfg)
 	if err != nil {
 		return nil, err
@@ -339,48 +285,32 @@ func (t *FastPathTable) Format(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "Fast-path latency (ns/op, allocs/op)\n"); err != nil {
 		return err
 	}
-	for _, impl := range t.Options.Impls {
-		if _, err := fmt.Fprintf(w, "clock=%s\n", impl); err != nil {
+	for _, det := range t.Options.Detectors {
+		c := t.Micro[det]
+		if _, err := fmt.Fprintf(w, "  %-10s read %7.1fns (%g allocs)  write %7.1fns (%g allocs)\n",
+			det, c.ReadNsPerOp, c.ReadAllocs, c.WriteNsPerOp, c.WriteAllocs); err != nil {
 			return err
-		}
-		for _, det := range t.Options.Detectors {
-			c := t.Micro[impl][det]
-			if _, err := fmt.Fprintf(w, "  %-10s read %7.1fns (%g allocs)  write %7.1fns (%g allocs)\n",
-				det, c.ReadNsPerOp, c.ReadAllocs, c.WriteNsPerOp, c.WriteAllocs); err != nil {
-				return err
-			}
 		}
 	}
 	if len(t.Rows) > 0 {
-		if _, err := fmt.Fprintf(w, "Offline checking (vft-v2, %d workers, %d iters)\n",
+		if _, err := fmt.Fprintf(w, "Offline checking (vft-v2, parcheck %d workers, %d iters)\n",
 			t.Options.Workers, t.Options.Iters); err != nil {
 			return err
 		}
 	}
 	for _, r := range t.Rows {
-		if _, err := fmt.Fprintf(w, "  %-12s %9d ops", r.Program, r.Ops); err != nil {
-			return err
-		}
-		for _, arm := range append(append([]string{}, t.Options.Impls...), "dense-nopool") {
-			if s, ok := r.Seconds[arm]; ok {
-				if _, err := fmt.Fprintf(w, "  %s=%.1fms", arm, s*1000); err != nil {
-					return err
-				}
-			}
-		}
 		status := "reports identical"
 		if r.Divergent {
 			status = "REPORTS DIVERGED"
 		}
-		if _, err := fmt.Fprintf(w, "  [%s]\n", status); err != nil {
+		if _, err := fmt.Fprintf(w, "  %-12s %9d ops  %s=%.1fms  %s=%.1fms  [%s]\n", r.Program, r.Ops,
+			armSequential, r.Seconds[armSequential]*1000, armParcheck, r.Seconds[armParcheck]*1000, status); err != nil {
 			return err
 		}
 	}
-	for _, impl := range t.Options.Impls {
-		if gm, ok := t.GeoMean[impl]; ok {
-			if _, err := fmt.Fprintf(w, "Table-1 geomean (quick, clock=%s): %v\n", impl, gm); err != nil {
-				return err
-			}
+	if t.GeoMean != nil {
+		if _, err := fmt.Fprintf(w, "Table-1 geomean (quick): %v\n", t.GeoMean); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -400,16 +330,15 @@ func (t *FastPathTable) Divergent() bool {
 // jsonFastPathTable is the stable machine-readable shape of
 // BENCH_fastpath.json.
 type jsonFastPathTable struct {
-	Provenance Provenance                          `json:"provenance"`
-	Impls      []string                            `json:"impls"`
-	Detectors  []string                            `json:"detectors"`
-	Iters      int                                 `json:"iters"`
-	Warmup     int                                 `json:"warmup"`
-	Workers    int                                 `json:"workers"`
-	Quick      bool                                `json:"quick"`
-	Micro      map[string]map[string]jsonMicroCell `json:"micro"`
-	Rows       []jsonFastPathRow                   `json:"rows"`
-	GeoMean    map[string]map[string]float64       `json:"geo_mean,omitempty"`
+	Provenance Provenance               `json:"provenance"`
+	Detectors  []string                 `json:"detectors"`
+	Iters      int                      `json:"iters"`
+	Warmup     int                      `json:"warmup"`
+	Workers    int                      `json:"workers"`
+	Quick      bool                     `json:"quick"`
+	Micro      map[string]jsonMicroCell `json:"micro"`
+	Rows       []jsonFastPathRow        `json:"rows"`
+	GeoMean    map[string]float64       `json:"geo_mean,omitempty"`
 }
 
 type jsonMicroCell struct {
@@ -432,24 +361,19 @@ type jsonFastPathRow struct {
 func (t *FastPathTable) WriteJSON(w io.Writer) error {
 	out := jsonFastPathTable{
 		Provenance: CollectProvenance(),
-		Impls:      t.Options.Impls,
 		Detectors:  t.Options.Detectors,
 		Iters:      t.Options.Iters,
 		Warmup:     t.Options.Warmup,
 		Workers:    t.Options.Workers,
 		Quick:      t.Options.Quick,
-		Micro:      map[string]map[string]jsonMicroCell{},
+		Micro:      map[string]jsonMicroCell{},
 		GeoMean:    t.GeoMean,
 	}
-	for impl, cells := range t.Micro {
-		jc := map[string]jsonMicroCell{}
-		for det, c := range cells {
-			jc[det] = jsonMicroCell{
-				ReadNs: c.ReadNsPerOp, WriteNs: c.WriteNsPerOp,
-				ReadAllocs: c.ReadAllocs, WriteAllocs: c.WriteAllocs,
-			}
+	for det, c := range t.Micro {
+		out.Micro[det] = jsonMicroCell{
+			ReadNs: c.ReadNsPerOp, WriteNs: c.WriteNsPerOp,
+			ReadAllocs: c.ReadAllocs, WriteAllocs: c.WriteAllocs,
 		}
-		out.Micro[impl] = jc
 	}
 	for _, r := range t.Rows {
 		out.Rows = append(out.Rows, jsonFastPathRow{

@@ -23,7 +23,6 @@ import (
 	"repro/internal/elide"
 	"repro/internal/obs"
 	"repro/internal/rtsim"
-	"repro/internal/vc"
 	"repro/internal/workloads"
 )
 
@@ -43,9 +42,6 @@ type Options struct {
 	// frozen source named "<program>.<detector>" plus a live progress
 	// gauge, so an HTTP endpoint can serve results while the bench runs.
 	Registry *obs.Registry
-	// ClockImpl selects the detectors' vector-clock representation (the
-	// zero value is dense, the seed behavior).
-	ClockImpl vc.Impl
 }
 
 // DefaultOptions mirrors the paper's setup at repo scale.
@@ -136,7 +132,7 @@ func measureProgram(w workloads.Workload, opts Options) (Row, error) {
 	for _, det := range opts.Detectors {
 		var lastReports int
 		mk := func() *rtsim.Runtime {
-			return rtsim.New(buildDetector(det, opts.ClockImpl))
+			return rtsim.New(buildDetector(det))
 		}
 		var checked time.Duration
 		// pprof labels tag the timed samples so a CPU profile scraped from
@@ -148,7 +144,7 @@ func measureProgram(w workloads.Workload, opts Options) (Row, error) {
 		row.Overhead[det] = float64(checked-base) / float64(base)
 		row.Reports[det] = lastReports
 
-		snap := metricsPass(w, size, det, opts.ClockImpl)
+		snap := metricsPass(w, size, det)
 		row.Metrics[det] = snap
 		row.FastPath[det] = FastPathShare(snap)
 		if opts.Registry != nil {
@@ -170,9 +166,9 @@ const latencySampleInterval = 64
 // event counts and sampled handler latencies. Keeping instrumentation out
 // of the timed loops is what lets the overhead columns and the metrics
 // coexist — a latency sample costs more than a v2 pure block.
-func metricsPass(w workloads.Workload, size int, det string, impl vc.Impl) obs.Snapshot {
+func metricsPass(w workloads.Workload, size int, det string) obs.Snapshot {
 	reg := obs.NewRegistry()
-	d := buildDetector(det, impl)
+	d := buildDetector(det)
 	wrapped := core.InstrumentLatency(d, reg, latencySampleInterval)
 	rt := rtsim.New(wrapped, rtsim.WithMetrics(reg))
 	w.Run(rt, size)
@@ -209,20 +205,20 @@ func FastPathShare(s obs.Snapshot) float64 {
 // demand, so a modest hint keeps construction cheap for the small programs
 // (eager over-allocation would charge tens of thousands of shadow objects
 // to every iteration of a 100-access program).
-func detectorConfig(impl vc.Impl) core.Config {
-	return core.Config{Threads: 32, Vars: 1 << 10, Locks: 64, ClockImpl: impl}
+func detectorConfig() core.Config {
+	return core.Config{Threads: 32, Vars: 1 << 10, Locks: 64}
 }
 
 // buildDetector resolves a detector column name. A "+elide" suffix wraps
 // the base variant in the redundant-check filter of internal/elide, so the
 // E10 extension (`vft-bench -detectors vft-v2,vft-v2+elide`) measures the
 // RedCard/BigFoot-style layering the paper calls compatible (§8).
-func buildDetector(name string, impl vc.Impl) core.Detector {
+func buildDetector(name string) core.Detector {
 	base, wrap := name, false
 	if strings.HasSuffix(name, "+elide") {
 		base, wrap = strings.TrimSuffix(name, "+elide"), true
 	}
-	d, err := core.New(base, detectorConfig(impl))
+	d, err := core.New(base, detectorConfig())
 	if err != nil {
 		panic(err)
 	}

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/vc"
 )
 
 func quickOpts() Options {
@@ -136,11 +134,11 @@ func TestDefaultOptions(t *testing.T) {
 }
 
 func TestBuildDetectorResolvesElide(t *testing.T) {
-	d := buildDetector("vft-v2+elide", vc.ImplDense)
+	d := buildDetector("vft-v2+elide")
 	if d.Name() != "vft-v2+elide" {
 		t.Fatalf("Name = %q", d.Name())
 	}
-	plain := buildDetector("djit", vc.ImplDense)
+	plain := buildDetector("djit")
 	if plain.Name() != "djit" {
 		t.Fatalf("Name = %q", plain.Name())
 	}
@@ -149,7 +147,7 @@ func TestBuildDetectorResolvesElide(t *testing.T) {
 			t.Fatal("unknown detector should panic")
 		}
 	}()
-	buildDetector("nope+elide", vc.ImplDense)
+	buildDetector("nope+elide")
 }
 
 func TestFormatCSV(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/vc"
 	"repro/internal/workloads"
 )
 
@@ -18,7 +17,7 @@ func TestMetricsPassCoherence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := metricsPass(w, w.TestSize, "vft-v2", vc.ImplDense)
+	snap := metricsPass(w, w.TestSize, "vft-v2")
 
 	reads := snap.Counters["detector.reads.total"]
 	writes := snap.Counters["detector.writes.total"]
@@ -54,7 +53,7 @@ func TestV2SameEpochRulesDominate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap := metricsPass(w, w.TestSize, "vft-v2", vc.ImplDense)
+		snap := metricsPass(w, w.TestSize, "vft-v2")
 		same := snap.Counters["detector.rule.read_same_epoch"] +
 			snap.Counters["detector.rule.write_same_epoch"] +
 			snap.Counters["detector.rule.read_shared_same_epoch"]
@@ -126,7 +125,7 @@ func TestMetricsPassElide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := metricsPass(w, w.TestSize, "vft-v2+elide", vc.ImplDense)
+	snap := metricsPass(w, w.TestSize, "vft-v2+elide")
 	if snap.Counters["detector.reads.total"] == 0 {
 		t.Errorf("elide-wrapped detector stats missing: %v", snap.Counters)
 	}

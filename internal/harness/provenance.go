@@ -10,7 +10,7 @@ import (
 // BenchSchemaVersion is the version stamped into every BENCH_*.json
 // provenance header. Bump it when a table's measured fields change shape
 // (adding fields is fine; renaming or re-meaning them is a bump).
-const BenchSchemaVersion = 2
+const BenchSchemaVersion = 3
 
 // Provenance identifies the run that produced a benchmark artifact:
 // enough to tell whether two committed BENCH_*.json files are comparable

@@ -72,13 +72,6 @@ type Options struct {
 	// thousands of uploads per registry lifetime) fold each run's stats
 	// into its own accumulators without growing the registry per check.
 	StatsSink func(obs.Snapshot)
-	// ClockImpl selects the prepass's vector-clock representation
-	// (vc.ImplDense or vc.ImplTree); the report list is identical either
-	// way.
-	ClockImpl vc.Impl
-	// DisablePool turns off backing-array recycling for the prepass's
-	// clocks and snapshots (the seed allocation behavior).
-	DisablePool bool
 	// Sampling, when non-nil, enables the per-variable sampling tier:
 	// accesses to variables the policy rejects are dropped in the prepass
 	// (counted in the stats as sampling.suppressed_*) before they reach a
@@ -159,12 +152,7 @@ func (w *shardWorker) runBatch(batch []access) {
 
 // threadState is one thread's prepass context.
 type threadState struct {
-	vc vc.Clock // clock modes
-	// dense is vc's concrete value when the representation is the dense
-	// default: stamp() is once-per-clock-change on the serial critical
-	// path, and the devirtualized Freeze call inlines its cached-snapshot
-	// fast path. nil under other representations.
-	dense *vc.VC
+	vc *vc.VC // clock modes
 
 	// lastRaw/lastInterned memoize the interning of the thread's current
 	// snapshot so the intern table is consulted once per clock change,
@@ -244,15 +232,10 @@ func run(opts Options, streamFn func(*prepassState) error) ([]core.Report, error
 	}
 
 	// Phase 1: the sync prepass, in the calling goroutine.
-	var vcPool *vc.Pool
-	if !opts.DisablePool {
-		vcPool = vc.NewPool()
-	}
 	p := &prepassState{
 		mode:     mode,
-		impl:     opts.ClockImpl,
 		sampler:  opts.Sampling,
-		vcPool:   vcPool,
+		vcPool:   vc.NewPool(),
 		joinInc:  vs.joinInc,
 		intern:   vc.NewInterner(),
 		threads:  make([]*threadState, 0, opts.Threads),
@@ -322,7 +305,6 @@ func run(opts Options, streamFn func(*prepassState) error) ([]core.Report, error
 // prepassState is the phase-1 streaming state.
 type prepassState struct {
 	mode    checkMode
-	impl    vc.Impl
 	vcPool  *vc.Pool
 	joinInc bool
 	intern  *vc.Interner
@@ -401,8 +383,7 @@ func (p *prepassState) thread(t epoch.Tid) *threadState {
 			ts.held = emptyLockSet
 		} else {
 			// Mirror core.newThreadState: the clock starts at inc_t(⊥V).
-			ts.vc = vc.NewClock(p.impl, p.vcPool)
-			ts.dense, _ = ts.vc.(*vc.VC)
+			ts.vc = vc.NewPooled(p.vcPool)
 			ts.vc.Inc(t)
 		}
 		p.threads[t] = ts
@@ -431,12 +412,7 @@ func (p *prepassState) setLock(m trace.Lock, f *vc.Frozen) {
 // its next Freeze reuses it) and the duplicate's storage goes back to the
 // pool.
 func (p *prepassState) stamp(ts *threadState) *vc.Frozen {
-	var f *vc.Frozen
-	if ts.dense != nil {
-		f = ts.dense.Freeze()
-	} else {
-		f = ts.vc.Freeze()
-	}
+	f := ts.vc.Freeze()
 	if f != ts.lastRaw {
 		canon := p.intern.Intern(f)
 		if canon != f {
@@ -694,15 +670,12 @@ func (p *prepassState) stats(ws []*shardWorker, reports uint64) obs.Snapshot {
 	s.Counters["vc.grows"] = clocks.Grows
 	s.Counters["vc.joins"] = clocks.Joins
 	s.Counters["vc.join_scanned"] = clocks.JoinScanned
-	s.Counters["vc.joins_elided"] = clocks.JoinsElided
 	s.Counters["vc.freezes"] = clocks.Freezes
 	s.Counters["vc.freeze_reuses"] = clocks.FreezeReuses
-	if p.vcPool != nil {
-		ps := p.vcPool.Stats()
-		s.Counters["vc.pool.gets"] = ps.Gets
-		s.Counters["vc.pool.fresh"] = ps.Fresh
-		s.Counters["vc.pool.recycled"] = ps.Gets - ps.Fresh
-	}
+	ps := p.vcPool.Stats()
+	s.Counters["vc.pool.gets"] = ps.Gets
+	s.Counters["vc.pool.fresh"] = ps.Fresh
+	s.Counters["vc.pool.recycled"] = ps.Recycled()
 
 	if p.sampler != nil {
 		s.Counters["sampling.suppressed_reads"] = p.suppressedReads

@@ -7,184 +7,131 @@ import (
 	"repro/internal/epoch"
 )
 
-// equalClocks compares two Clock values pointwise over a window wide
-// enough to cover both representations plus implicit minimal entries.
-func equalClocks(t *testing.T, a, b Clock, ctx string) {
+// model is the reference semantics of a vector clock: one plain counter
+// per thread, no representation tricks, no pool, no snapshot cache.
+type model []uint64
+
+func (m model) get(t epoch.Tid) uint64 {
+	if int(t) < len(m) {
+		return m[t]
+	}
+	return 0
+}
+
+func (m *model) set(t epoch.Tid, c uint64) {
+	for len(*m) <= int(t) {
+		*m = append(*m, 0)
+	}
+	(*m)[t] = c
+}
+
+func (m *model) join(o model) {
+	for i, c := range o {
+		if c > m.get(epoch.Tid(i)) {
+			m.set(epoch.Tid(i), c)
+		}
+	}
+}
+
+func (m model) clone() model { return append(model(nil), m...) }
+
+// modelWindow is wide enough to cover every tid the driver touches plus
+// implicit minimal entries beyond it.
+const modelWindow = 16
+
+// checkModel compares a clock reader against the model pointwise,
+// including the well-formedness invariant Tid(Get(t)) == t.
+func checkModel(t *testing.T, get func(epoch.Tid) epoch.Epoch, m model, ctx string) {
 	t.Helper()
-	n := a.Size()
-	if b.Size() > n {
-		n = b.Size()
-	}
-	n += 4
-	for i := 0; i < n; i++ {
+	for i := 0; i < modelWindow; i++ {
 		tid := epoch.Tid(i)
-		if ae, be := a.Get(tid), b.Get(tid); ae != be {
-			t.Fatalf("%s: clocks diverge at t%d: %v vs %v\n dense=%v\n tree=%v",
-				ctx, i, ae, be, a, b)
+		if got, want := get(tid), epoch.Make(tid, m.get(tid)); got != want {
+			t.Fatalf("%s: entry t%d = %v, model says %v (model %v)", ctx, i, got, want, m)
 		}
 	}
 }
 
-// clockOp is one random mutation applied identically to a dense and a
-// tree clock in the conformance driver below.
-type clockOp struct {
-	kind int // 0 Set, 1 Inc, 2 Join peer, 3 JoinFrozen, 4 Assign peer, 5 Freeze
-	t    epoch.Tid
-	c    uint64
-	peer int
-}
-
-// TestQuickDenseTreeConformance drives random operation sequences through
-// paired dense/tree clock families and checks pointwise equality after
-// every step — the property that lets the detectors swap representations
-// without changing a single report.
-func TestQuickDenseTreeConformance(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260808))
-	for trial := 0; trial < 50; trial++ {
-		pool := NewPool()
-		const nClocks = 4
-		dense := make([]Clock, nClocks)
-		tree := make([]Clock, nClocks)
-		for i := range dense {
-			dense[i] = NewClock(ImplDense, pool)
-			tree[i] = NewClock(ImplTree, pool)
-		}
-		var frozenDense []*Frozen
-		var frozenTree []*Frozen
-		for step := 0; step < 200; step++ {
-			self := rng.Intn(nClocks)
-			op := clockOp{
-				kind: rng.Intn(6),
-				t:    epoch.Tid(rng.Intn(12)),
-				c:    uint64(rng.Intn(8)),
-				peer: rng.Intn(nClocks),
-			}
-			d, tr := dense[self], tree[self]
-			switch op.kind {
-			case 0:
-				// Random Set, including non-monotone ones — the memo
-				// invalidation path.
-				d.Set(op.t, epoch.Make(op.t, op.c))
-				tr.Set(op.t, epoch.Make(op.t, op.c))
-			case 1:
-				d.Inc(op.t)
-				tr.Inc(op.t)
-			case 2:
-				d.Join(dense[op.peer])
-				tr.Join(tree[op.peer])
-			case 3:
-				if len(frozenDense) > 0 {
-					i := rng.Intn(len(frozenDense))
-					d.JoinFrozen(frozenDense[i])
-					tr.JoinFrozen(frozenTree[i])
+// TestQuickDenseModelConformance drives random operation sequences
+// (Set/Inc/Join/JoinFrozen/Assign/Freeze) through a family of dense
+// clocks and a plain []uint64 pointwise model, checking every clock entry,
+// EpochLeq and Leq after each step. Every snapshot taken along the way is
+// re-checked at the end of its trial: later mutations of its source — and,
+// in the pooled leg, arrays recycled through the pool — must not show
+// through an immutable Frozen. Both a pooled and a nil-pool family run.
+func TestQuickDenseModelConformance(t *testing.T) {
+	for _, leg := range []struct {
+		name string
+		pool func() *Pool
+	}{
+		{"pooled", NewPool},
+		{"nil-pool", func() *Pool { return nil }},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(20260808))
+			for trial := 0; trial < 50; trial++ {
+				pool := leg.pool()
+				const nClocks = 4
+				clocks := make([]*VC, nClocks)
+				models := make([]model, nClocks)
+				for i := range clocks {
+					clocks[i] = NewPooled(pool)
 				}
-			case 4:
-				d.Assign(dense[op.peer])
-				tr.Assign(tree[op.peer])
-			case 5:
-				fd, ft := d.Freeze(), tr.Freeze()
-				if !fd.Equal(ft) {
-					t.Fatalf("trial %d step %d: snapshots diverge: %v vs %v", trial, step, fd, ft)
+				var frozen []*Frozen
+				var frozenModels []model
+				for step := 0; step < 200; step++ {
+					self := rng.Intn(nClocks)
+					tid := epoch.Tid(rng.Intn(12))
+					c := uint64(rng.Intn(8))
+					peer := rng.Intn(nClocks)
+					d, m := clocks[self], &models[self]
+					switch rng.Intn(6) {
+					case 0:
+						// Random Set, including non-monotone ones.
+						d.Set(tid, epoch.Make(tid, c))
+						m.set(tid, c)
+					case 1:
+						d.Inc(tid)
+						m.set(tid, m.get(tid)+1)
+					case 2:
+						d.Join(clocks[peer])
+						m.join(models[peer])
+					case 3:
+						if len(frozen) > 0 {
+							i := rng.Intn(len(frozen))
+							d.JoinFrozen(frozen[i])
+							m.join(frozenModels[i])
+						}
+					case 4:
+						d.Assign(clocks[peer])
+						*m = models[peer].clone()
+					case 5:
+						f := d.Freeze()
+						checkModel(t, f.Get, *m, "fresh snapshot")
+						frozen = append(frozen, f)
+						frozenModels = append(frozenModels, m.clone())
+					}
+					checkModel(t, d.Get, *m, "after op")
+					// EpochLeq is the fast-path primitive; Leq the
+					// whole-clock order the djit baseline uses.
+					probe := epoch.Make(tid, c)
+					if got, want := d.EpochLeq(probe), c <= m.get(tid); got != want {
+						t.Fatalf("trial %d step %d: EpochLeq(%v) = %v, model says %v", trial, step, probe, got, want)
+					}
+					want := true
+					for i := 0; i < modelWindow; i++ {
+						if m.get(epoch.Tid(i)) > models[peer].get(epoch.Tid(i)) {
+							want = false
+						}
+					}
+					if got := d.Leq(clocks[peer]); got != want {
+						t.Fatalf("trial %d step %d: Leq = %v, model says %v", trial, step, got, want)
+					}
 				}
-				frozenDense = append(frozenDense, fd)
-				frozenTree = append(frozenTree, ft)
+				for i, f := range frozen {
+					checkModel(t, f.Get, frozenModels[i], "retained snapshot")
+				}
 			}
-			equalClocks(t, d, tr, "after op")
-			// EpochLeq must agree too: it is the fast-path primitive.
-			probe := epoch.Make(op.t, op.c)
-			if d.EpochLeq(probe) != tr.EpochLeq(probe) {
-				t.Fatalf("trial %d step %d: EpochLeq(%v) disagrees", trial, step, probe)
-			}
-		}
-	}
-}
-
-// TestTreeMemoElidesRepeatJoin pins the whole-clock memo: joining an
-// unchanged source twice answers the second join without scanning.
-func TestTreeMemoElidesRepeatJoin(t *testing.T) {
-	src := NewTree(nil)
-	src.Inc(3)
-	src.Inc(3)
-	dst := NewTree(nil)
-	dst.Join(src)
-	before := dst.Metrics()
-	dst.Join(src)
-	after := dst.Metrics()
-	if after.JoinsElided != before.JoinsElided+1 {
-		t.Fatalf("repeat join not elided: %+v -> %+v", before, after)
-	}
-	if after.JoinScanned != before.JoinScanned {
-		t.Fatalf("elided join scanned entries: %+v -> %+v", before, after)
-	}
-}
-
-// TestTreeMemoInvalidatesOnSourceMutation pins the source side: any
-// mutation of the source advances its version, so the memo stops eliding.
-func TestTreeMemoInvalidatesOnSourceMutation(t *testing.T) {
-	src := NewTree(nil)
-	src.Inc(3)
-	dst := NewTree(nil)
-	dst.Join(src)
-	src.Inc(3)
-	dst.Join(src)
-	if got := dst.Get(3); got != src.Get(3) {
-		t.Fatalf("join after source mutation missed the update: dst=%v src=%v", got, src.Get(3))
-	}
-}
-
-// TestTreeMemoInvalidatesOnDestinationLowering pins the destination side:
-// a non-monotone Set breaks the coverage promise and must drop the memo.
-func TestTreeMemoInvalidatesOnDestinationLowering(t *testing.T) {
-	src := NewTree(nil)
-	src.Set(2, epoch.Make(2, 9))
-	dst := NewTree(nil)
-	dst.Join(src)
-	// Lower the entry the memo claims is covered.
-	dst.Set(2, epoch.Make(2, 1))
-	src.Inc(5) // mutate src so the solo window, not the stale memo, could hide the bug
-	dst.Join(src)
-	if got := dst.Get(2); got != epoch.Make(2, 9) {
-		t.Fatalf("memo survived non-monotone Set: dst[2]=%v, want 2@9", got)
-	}
-}
-
-// TestTreeLastWriterShortcut pins the solo-index window: after a memoized
-// join, a source that only Inc'd one thread is re-joined by comparing a
-// single entry.
-func TestTreeLastWriterShortcut(t *testing.T) {
-	src := NewTree(nil)
-	for i := 0; i < 40; i++ {
-		src.Inc(epoch.Tid(i % 20)) // touch many chunks
-	}
-	dst := NewTree(nil)
-	dst.Join(src)
-	base := dst.Metrics().JoinScanned
-	src.Inc(7)
-	src.Inc(7)
-	dst.Join(src)
-	scanned := dst.Metrics().JoinScanned - base
-	if scanned != 1 {
-		t.Fatalf("last-writer join scanned %d entries, want 1", scanned)
-	}
-	if dst.Get(7) != src.Get(7) {
-		t.Fatalf("shortcut join missed the update")
-	}
-}
-
-// TestTreeAssignInvalidatesPeerMemos pins Assign's version stamping: a
-// destination holding a memo about the assigned-over source must rescan.
-func TestTreeAssignInvalidatesPeerMemos(t *testing.T) {
-	src := NewTree(nil)
-	src.Inc(1)
-	dst := NewTree(nil)
-	dst.Join(src)
-
-	big := NewTree(nil)
-	big.Set(4, epoch.Make(4, 7))
-	src.Assign(big)
-	dst.Join(src)
-	if got := dst.Get(4); got != epoch.Make(4, 7) {
-		t.Fatalf("memo survived source Assign: dst[4]=%v, want 4@7", got)
+		})
 	}
 }
 
@@ -295,59 +242,18 @@ func TestPoolRecycles(t *testing.T) {
 // overwrite the slots it exposes.
 func TestPooledGrowthFillsMinimal(t *testing.T) {
 	pool := NewPool()
-	for _, impl := range []Impl{ImplDense, ImplTree} {
-		// Dirty the pool with a clock full of large epochs, then retire it.
-		dirty := NewClock(impl, pool)
-		for i := 0; i < 30; i++ {
-			dirty.Set(epoch.Tid(i), epoch.Make(epoch.Tid(i), 1000))
-		}
-		dirty.Assign(NewClock(impl, pool)) // shrink: retires nothing, but Freeze below does
-		// Grow a fresh clock through the same classes.
-		c := NewClock(impl, pool)
-		c.Inc(29)
-		for i := 0; i < 29; i++ {
-			if got := c.Get(epoch.Tid(i)); got != epoch.Min(epoch.Tid(i)) {
-				t.Fatalf("%v: stale epoch leaked through pool at t%d: %v", impl, i, got)
-			}
-		}
+	// Dirty the pool with a clock full of large epochs, then retire it.
+	dirty := NewPooled(pool)
+	for i := 0; i < 30; i++ {
+		dirty.Set(epoch.Tid(i), epoch.Make(epoch.Tid(i), 1000))
 	}
-}
-
-// TestParseImpl pins the knob spellings.
-func TestParseImpl(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Impl
-		err  bool
-	}{
-		{"", ImplDense, false},
-		{"dense", ImplDense, false},
-		{"tree", ImplTree, false},
-		{"lazy", 0, true},
-	} {
-		got, err := ParseImpl(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Fatalf("ParseImpl(%q) = %v, %v", tc.in, got, err)
+	dirty.Assign(NewPooled(pool)) // shrink: retires nothing, but Freeze below does
+	// Grow a fresh clock through the same classes.
+	c := NewPooled(pool)
+	c.Inc(29)
+	for i := 0; i < 29; i++ {
+		if got := c.Get(epoch.Tid(i)); got != epoch.Min(epoch.Tid(i)) {
+			t.Fatalf("stale epoch leaked through pool at t%d: %v", i, got)
 		}
-	}
-	if ImplDense.String() != "dense" || ImplTree.String() != "tree" {
-		t.Fatalf("Impl.String spellings changed")
-	}
-}
-
-// TestTreeFrozenMemoRing pins the JoinFrozen pointer ring: re-joining one
-// of the last two snapshots is elided (the lock re-acquire shape of the
-// parcheck prepass).
-func TestTreeFrozenMemoRing(t *testing.T) {
-	f1 := FromClocks(0, 5).Freeze()
-	f2 := FromClocks(0, 0, 7).Freeze()
-	c := NewTree(nil)
-	c.JoinFrozen(f1)
-	c.JoinFrozen(f2)
-	base := c.Metrics().JoinsElided
-	c.JoinFrozen(f1)
-	c.JoinFrozen(f2)
-	if got := c.Metrics().JoinsElided - base; got != 2 {
-		t.Fatalf("frozen memo ring elided %d of 2 repeat joins", got)
 	}
 }

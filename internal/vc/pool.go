@@ -53,6 +53,11 @@ type PoolStats struct {
 	Puts uint64
 }
 
+// Recycled counts the arrays handed out that were reused rather than
+// freshly allocated (Gets − Fresh). It is the one definition behind the
+// vc.pool.recycled counter wherever a detector reports it.
+func (s PoolStats) Recycled() uint64 { return s.Gets - s.Fresh }
+
 // Stats reads the pool's counters; safe concurrently with use.
 func (p *Pool) Stats() PoolStats {
 	if p == nil {
@@ -109,8 +114,8 @@ func (p *Pool) put(v []epoch.Epoch) {
 	p.puts.Add(1)
 }
 
-// getSlice is the nil-tolerant allocation helper the clock
-// implementations use: pool storage when pooled, plain make otherwise.
+// getSlice is the nil-tolerant allocation helper clocks and snapshots
+// use: pool storage when pooled, plain make otherwise.
 func (p *Pool) getSlice(n int) []epoch.Epoch {
 	if p == nil {
 		return make([]epoch.Epoch, n)

@@ -1,15 +1,13 @@
 // Package vc implements the grow-on-demand vector clocks of the VerifiedFT
 // analysis (§3 and Fig. 3 of the paper).
 //
-// A vector clock maps every thread id to an epoch for that thread. The
-// Clock interface (clock.go) abstracts the representation; this file is the
-// dense implementation: a slice indexed by thread id, entries beyond the
-// slice's length reading as the minimal epoch t@0, exactly as the
-// VectorClock.get method in Fig. 3 does. This keeps clocks proportional to
-// the highest thread id that has actually synchronized through them rather
-// than to the total number of threads. tree.go adds a lazy tree-clock
-// representation behind the same interface, and pool.go recycles backing
-// arrays for both.
+// A vector clock maps every thread id to an epoch for that thread. VC is
+// the dense representation of Fig. 3: a slice indexed by thread id, entries
+// beyond the slice's length reading as the minimal epoch t@0, exactly as
+// the VectorClock.get method does. This keeps clocks proportional to the
+// highest thread id that has actually synchronized through them rather
+// than to the total number of threads. frozen.go adds immutable,
+// interned snapshots, and pool.go recycles backing arrays for both.
 //
 // The well-formedness invariant of §3 — for all t, Tid(V.Get(t)) == t — is
 // maintained by every method and checked by the test suite.
@@ -57,10 +55,6 @@ type Metrics struct {
 	// JoinScanned counts entries compared across all Joins — the O(threads)
 	// work epochs exist to avoid on the access paths.
 	JoinScanned uint64
-	// JoinsElided counts joins the tree representation answered entirely
-	// from its monotone-copy memo — no entry scanned at all. Always zero
-	// for the dense representation.
-	JoinsElided uint64
 	// Freezes counts Freeze calls that had to copy the representation;
 	// FreezeReuses counts the calls answered by the cached snapshot. Their
 	// ratio is the copy-on-write win of the Frozen layer.
@@ -73,7 +67,6 @@ func (m *Metrics) Add(other Metrics) {
 	m.Grows += other.Grows
 	m.Joins += other.Joins
 	m.JoinScanned += other.JoinScanned
-	m.JoinsElided += other.JoinsElided
 	m.Freezes += other.Freezes
 	m.FreezeReuses += other.FreezeReuses
 }
@@ -165,26 +158,15 @@ func (c *VC) Inc(t epoch.Tid) {
 	c.Set(t, c.Get(t).Inc())
 }
 
-// Leq reports the pointwise order c ⊑ other. The dense-vs-dense case is
-// the historical fast path; a tree argument is compared through the
-// interface.
-func (c *VC) Leq(other Clock) bool {
-	if o, ok := other.(*VC); ok {
-		n := len(c.v)
-		if len(o.v) > n {
-			n = len(o.v)
-		}
-		for i := 0; i < n; i++ {
-			t := epoch.Tid(i)
-			if !c.Get(t).Leq(o.Get(t)) {
-				return false
-			}
-		}
-		return true
+// Leq reports the pointwise order c ⊑ other.
+func (c *VC) Leq(other *VC) bool {
+	n := len(c.v)
+	if len(other.v) > n {
+		n = len(other.v)
 	}
-	for i := range c.v {
+	for i := 0; i < n; i++ {
 		t := epoch.Tid(i)
-		if !c.v[i].Leq(other.Get(t)) {
+		if !c.Get(t).Leq(other.Get(t)) {
 			return false
 		}
 	}
@@ -205,39 +187,17 @@ func (c *VC) EpochLeq(e epoch.Epoch) bool {
 // whose argument is entirely ⊑ c (re-acquiring a lock the thread itself
 // released last, barrier re-arrivals) mutates nothing, grows nothing, and
 // preserves c's cached Freeze snapshot.
-func (c *VC) Join(other Clock) {
+func (c *VC) Join(other *VC) {
 	c.m.Joins++
-	o, ok := other.(*VC)
-	if !ok {
-		c.joinGeneric(other)
+	if len(other.v) == 0 {
 		return
 	}
-	if len(o.v) == 0 {
-		return
-	}
-	c.m.JoinScanned += uint64(len(o.v))
-	for i, oe := range o.v {
+	c.m.JoinScanned += uint64(len(other.v))
+	for i, oe := range other.v {
 		t := epoch.Tid(i)
 		// Same-tid epochs order by their clock bits, so the raw comparison
 		// is the pointwise order (both sides are well-formed entries for t).
 		if oe > c.Get(t) {
-			c.Set(t, oe)
-		}
-	}
-}
-
-// joinGeneric merges a non-dense clock through the interface; it exists
-// for cross-implementation joins, which the detectors never perform (an
-// entire detector runs one implementation) but the property tests do.
-func (c *VC) joinGeneric(other Clock) {
-	n := other.Size()
-	if n == 0 {
-		return
-	}
-	c.m.JoinScanned += uint64(n)
-	for i := 0; i < n; i++ {
-		t := epoch.Tid(i)
-		if oe := other.Get(t); oe > c.Get(t) {
 			c.Set(t, oe)
 		}
 	}
@@ -249,29 +209,11 @@ func (c *VC) joinGeneric(other Clock) {
 // capacity check, the cache clear and the well-formedness branch n times.
 // Entries beyond other's representation are reset to minimal, so the
 // result denotes exactly other's value regardless of c's previous size.
-func (c *VC) Assign(other Clock) {
+func (c *VC) Assign(other *VC) {
 	c.frozen = nil
-	if o, ok := other.(*VC); ok {
-		c.assignRaw(o.v)
-		return
-	}
-	if t, ok := other.(*Tree); ok {
-		c.assignRaw(t.v)
-		return
-	}
-	n := other.Size()
-	c.ensureCapacity(n)
-	for i := 0; i < n; i++ {
-		c.v[i] = other.Get(epoch.Tid(i))
-	}
-	epoch.FillMin(c.v, 0, n)
-}
-
-// assignRaw bulk-copies a well-formed epoch slice into c.
-func (c *VC) assignRaw(src []epoch.Epoch) {
-	c.ensureCapacity(len(src))
-	copy(c.v, src)
-	epoch.FillMin(c.v, 0, len(src))
+	c.ensureCapacity(len(other.v))
+	copy(c.v, other.v)
+	epoch.FillMin(c.v, 0, len(other.v))
 }
 
 // Clone returns an independent copy of c's clock value. The copy starts

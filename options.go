@@ -5,7 +5,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sample"
 	"repro/internal/trace"
-	"repro/internal/vc"
 )
 
 // Metrics is a registry of contention-free metric instruments. Attach one
@@ -42,23 +41,9 @@ type settings struct {
 	// sequential replay, 0 = parallel with GOMAXPROCS workers, n > 1 =
 	// parallel with n workers.
 	parallel int
-	// clock is the WithClockImpl spelling, parsed by resolveClock at the
-	// error-returning entry points ("" = dense).
-	clock string
 	// sampling is the WithSampling policy; nil is the precise tier. The
 	// "sampled[:rate]" variant spelling also sets it, via resolveSampling.
 	sampling *sample.Policy
-}
-
-// resolveClock parses the WithClockImpl selection into the Config, so an
-// unknown name errors at New/CheckTrace rather than being ignored.
-func (s *settings) resolveClock() error {
-	impl, err := vc.ParseImpl(s.clock)
-	if err != nil {
-		return err
-	}
-	s.cfg.ClockImpl = impl
-	return nil
 }
 
 // resolveSampling folds the "sampled[:rate]" variant spelling into the
@@ -172,19 +157,6 @@ func WithChanCapacities(caps map[LockID]int) CheckOption {
 // the tenant quota bounds long-term distinct-race retention.
 func WithMaxReportsPerVar(n int) CommonOption {
 	return commonOption(func(s *settings) { s.cfg.MaxReportsPerVar = n })
-}
-
-// WithClockImpl selects the vector-clock representation the detector's
-// thread and lock clocks use: "dense" (the default — the paper's
-// grow-on-demand slice, Fig. 3) or "tree" (a lazy tree-clock
-// representation whose joins skip everything the destination already
-// covers, cheapest for re-acquire and barrier-heavy synchronization).
-// The two are observationally identical — same reports, same order, same
-// Seq numbering, sequentially and under WithParallelism — differing only
-// in cost; the conformance suite cross-checks them. An unknown name
-// errors at New/CheckTrace time.
-func WithClockImpl(impl string) CommonOption {
-	return commonOption(func(s *settings) { s.clock = impl })
 }
 
 // WithMetrics attaches a metric registry. The detector is wrapped in a

@@ -39,8 +39,8 @@ func sameReports(a, b []Report) bool {
 
 // TestSamplingIdentityAtRateOne is the tentpole acceptance gate: at rate
 // 1.0 the sampling tier is report-identical to the precise tier across
-// the conformance corpus, for every detector variant, under both clock
-// representations, both sequentially and through the parallel checker.
+// the conformance corpus, for every detector variant, both sequentially
+// and through the parallel checker.
 func TestSamplingIdentityAtRateOne(t *testing.T) {
 	for _, prog := range conformance.Programs() {
 		for _, seed := range []uint64{1, 42} {
@@ -49,29 +49,25 @@ func TestSamplingIdentityAtRateOne(t *testing.T) {
 				t.Fatalf("%s seed %d: %v", prog.Name, seed, err)
 			}
 			for _, variant := range Variants() {
-				for _, impl := range []string{"dense", "tree"} {
-					want, err := CheckTrace(tr, WithVariant(variant), WithClockImpl(impl))
-					if err != nil {
-						t.Fatalf("%s/%s/%s precise: %v", prog.Name, variant, impl, err)
-					}
-					seq, err := CheckTrace(tr, WithVariant(variant), WithClockImpl(impl),
-						WithSampling(1))
-					if err != nil {
-						t.Fatalf("%s/%s/%s sampled: %v", prog.Name, variant, impl, err)
-					}
-					if !sameReports(want, seq) {
-						t.Fatalf("%s/%s/%s: rate-1.0 sequential diverged from precise:\nwant %+v\ngot  %+v",
-							prog.Name, variant, impl, want, seq)
-					}
-					par, err := CheckTrace(tr, WithVariant(variant), WithClockImpl(impl),
-						WithSampling(1), WithParallelism(4))
-					if err != nil {
-						t.Fatalf("%s/%s/%s sampled parallel: %v", prog.Name, variant, impl, err)
-					}
-					if !sameReports(want, par) {
-						t.Fatalf("%s/%s/%s: rate-1.0 parallel diverged from precise:\nwant %+v\ngot  %+v",
-							prog.Name, variant, impl, want, par)
-					}
+				want, err := CheckTrace(tr, WithVariant(variant))
+				if err != nil {
+					t.Fatalf("%s/%s precise: %v", prog.Name, variant, err)
+				}
+				seq, err := CheckTrace(tr, WithVariant(variant), WithSampling(1))
+				if err != nil {
+					t.Fatalf("%s/%s sampled: %v", prog.Name, variant, err)
+				}
+				if !sameReports(want, seq) {
+					t.Fatalf("%s/%s: rate-1.0 sequential diverged from precise:\nwant %+v\ngot  %+v",
+						prog.Name, variant, want, seq)
+				}
+				par, err := CheckTrace(tr, WithVariant(variant), WithSampling(1), WithParallelism(4))
+				if err != nil {
+					t.Fatalf("%s/%s sampled parallel: %v", prog.Name, variant, err)
+				}
+				if !sameReports(want, par) {
+					t.Fatalf("%s/%s: rate-1.0 parallel diverged from precise:\nwant %+v\ngot  %+v",
+						prog.Name, variant, want, par)
 				}
 			}
 		}

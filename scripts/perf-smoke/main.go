@@ -1,14 +1,15 @@
 // Command perf-smoke exercises the clock layer the way CI wants it
 // exercised: run the fast-path latency micro cells and the
 // montecarlo/pmd offline checking arms (EXPERIMENTS.md E20) at quick
-// sizes under both clock representations, fail hard if any arm's report
-// list diverges from the dense sequential baseline, and log — without
-// gating on — the perf numbers, so a run's timing lives in the CI log
-// while correctness is the only failure condition. A generated racy
-// trace with heavy lock traffic rides along so the tree representation's
-// memo machinery sees real invalidation churn, not just the race-free
-// suite. It is a Go program rather than a shell script so it works on
-// any machine with just the toolchain.
+// sizes, sequentially and through the parallel checker, fail hard if the
+// parallel report list diverges from the sequential one or a fast path
+// allocates, and log — without gating on — the perf numbers, so a run's
+// timing lives in the CI log while correctness is the only failure
+// condition. A generated racy trace with heavy lock traffic rides along
+// so the byte-identity contract is checked on inputs that actually
+// produce reports, not just the race-free suite. It is a Go program
+// rather than a shell script so it works on any machine with just the
+// toolchain.
 package main
 
 import (
@@ -33,8 +34,8 @@ func fail(format string, args ...any) int {
 
 func run() int {
 	// Arm 1: the E20 table at quick sizes — micro latency/allocs per
-	// (impl, detector) plus the montecarlo/pmd offline arms with the
-	// built-in divergence cross-check.
+	// detector plus the montecarlo/pmd offline arms with the built-in
+	// divergence cross-check.
 	opts := harness.DefaultFastPathOptions()
 	opts.Quick = true
 	opts.Warmup = 1
@@ -47,21 +48,19 @@ func run() int {
 		return fail("format: %v", err)
 	}
 	if table.Divergent() {
-		return fail("report lists diverged between clock representations")
+		return fail("report lists diverged between sequential and parallel checking")
 	}
-	for _, impl := range opts.Impls {
-		for _, det := range opts.Detectors {
-			c := table.Micro[impl][det]
-			if c.ReadAllocs != 0 || c.WriteAllocs != 0 {
-				return fail("%s/%s: same-epoch fast path allocates (read %g, write %g allocs/op)",
-					det, impl, c.ReadAllocs, c.WriteAllocs)
-			}
+	for _, det := range opts.Detectors {
+		c := table.Micro[det]
+		if c.ReadAllocs != 0 || c.WriteAllocs != 0 {
+			return fail("%s: same-epoch fast path allocates (read %g, write %g allocs/op)",
+				det, c.ReadAllocs, c.WriteAllocs)
 		}
 	}
 
-	// Arm 2: a racy, sync-heavy generated trace through every variant
-	// under both representations, sequentially and sharded — the
-	// byte-identity contract on inputs that actually produce reports.
+	// Arm 2: a racy, sync-heavy generated trace through every variant,
+	// with one worker and sharded over four — the byte-identity contract
+	// on inputs that actually produce reports.
 	cfg := trace.DefaultGenConfig()
 	cfg.Ops = 50_000
 	cfg.Threads = 8
@@ -73,25 +72,22 @@ func run() int {
 		if err != nil {
 			return fail("%s baseline: %v", variant, err)
 		}
-		for _, impl := range []string{"dense", "tree"} {
-			for _, workers := range []int{1, 4} {
-				got, err := verifiedft.CheckTrace(tr,
-					verifiedft.WithVariant(variant),
-					verifiedft.WithClockImpl(impl),
-					verifiedft.WithParallelism(workers))
-				if err != nil {
-					return fail("%s/%s w=%d: %v", variant, impl, workers, err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					return fail("%s: %s w=%d diverged from dense sequential: %d vs %d reports",
-						variant, impl, workers, len(got), len(want))
-				}
+		for _, workers := range []int{1, 4} {
+			got, err := verifiedft.CheckTrace(tr,
+				verifiedft.WithVariant(variant),
+				verifiedft.WithParallelism(workers))
+			if err != nil {
+				return fail("%s w=%d: %v", variant, workers, err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				return fail("%s: w=%d diverged from sequential: %d vs %d reports",
+					variant, workers, len(got), len(want))
 			}
 		}
-		fmt.Printf("perf-smoke: %-9s %6d ops → %5d reports, dense ≡ tree, sequential ≡ sharded ✓\n",
+		fmt.Printf("perf-smoke: %-9s %6d ops → %5d reports, sequential ≡ sharded ✓\n",
 			variant, len(tr), len(want))
 	}
 
-	fmt.Println("perf-smoke: OK — clock representations agree everywhere; perf numbers above are logged, not gated")
+	fmt.Println("perf-smoke: OK — sequential and sharded reports agree everywhere; perf numbers above are logged, not gated")
 	return 0
 }

@@ -226,9 +226,6 @@ func New(variant string, opts ...Option) (Detector, error) {
 	for _, o := range opts {
 		o.applyNew(&s)
 	}
-	if err := s.resolveClock(); err != nil {
-		return nil, err
-	}
 	if err := s.resolveSampling(); err != nil {
 		return nil, err
 	}
@@ -296,9 +293,6 @@ func CheckSource(src Source, opts ...CheckOption) ([]Report, error) {
 	for _, o := range opts {
 		o.applyCheck(&s)
 	}
-	if err := s.resolveClock(); err != nil {
-		return nil, err
-	}
 	if err := s.resolveSampling(); err != nil {
 		return nil, err
 	}
@@ -357,8 +351,6 @@ func parcheckOptions(s settings) parcheck.Options {
 		Vars:             s.cfg.Vars,
 		Locks:            s.cfg.Locks,
 		Metrics:          s.metrics,
-		ClockImpl:        s.cfg.ClockImpl,
-		DisablePool:      s.cfg.DisablePool,
 		Sampling:         s.sampling,
 	}
 }
@@ -403,9 +395,6 @@ func CheckTrace(tr Trace, opts ...CheckOption) ([]Report, error) {
 		o.applyCheck(&s)
 	}
 	if s.parallel != 1 {
-		if err := s.resolveClock(); err != nil {
-			return nil, err
-		}
 		if err := s.resolveSampling(); err != nil {
 			return nil, err
 		}
@@ -461,4 +450,6 @@ func HasRace(tr Trace) (bool, error) {
 // onto pseudo-locks by the shared trace.Lowerer so every detector variant
 // checks them unchanged. The deprecated NewWithConfig, DefaultConfig and
 // CheckTraceWith wrappers from the 2.0 options migration are removed.
-const Version = "2.3.0"
+// 2.4.0 removes WithClockImpl: the dense grow-on-demand vector clock of
+// Fig. 3 is the only representation.
+const Version = "2.4.0"
