@@ -450,6 +450,6 @@ func HasRace(tr Trace) (bool, error) {
 // onto pseudo-locks by the shared trace.Lowerer so every detector variant
 // checks them unchanged. The deprecated NewWithConfig, DefaultConfig and
 // CheckTraceWith wrappers from the 2.0 options migration are removed.
-// 2.4.0 removes WithClockImpl: the dense grow-on-demand vector clock of
-// Fig. 3 is the only representation.
+// 2.4.0 removes the clock-representation option: the dense
+// grow-on-demand vector clock of Fig. 3 is the only representation.
 const Version = "2.4.0"
